@@ -292,17 +292,12 @@ impl DistScrollDevice {
     /// On a hardware fault the tick is re-armed at the current instant
     /// (no time passes), so a caller that retries observes exactly what
     /// repeated direct `Firmware::tick` calls used to.
-    fn dispatch(&mut self, task: DeviceTask, recount_display_load: bool) -> Result<(), CoreError> {
+    fn dispatch(&mut self, task: DeviceTask) -> Result<(), CoreError> {
         match task {
             DeviceTask::FirmwareTick => match self.fw.tick(&mut self.board, &mut self.rng) {
                 Ok(()) => {
-                    if recount_display_load {
-                        // lint:allow(fixed-tick) legacy-cost baseline inside the sanctioned dispatch site
-                        self.board.step_recount(self.fw.tick_period());
-                    } else {
-                        // lint:allow(fixed-tick) the event-core dispatch is the sanctioned stepping site
-                        self.board.step(self.fw.tick_period());
-                    }
+                    // lint:allow(fixed-tick) the event-core dispatch is the sanctioned stepping site
+                    self.board.step(self.fw.tick_period());
                     self.sched
                         .schedule_at(self.board.now(), DeviceTask::FirmwareTick);
                     Ok(())
@@ -324,25 +319,8 @@ impl DistScrollDevice {
     /// [`CoreError::Hw`] on hardware faults (e.g. brown-out).
     pub fn tick(&mut self) -> Result<(), CoreError> {
         match self.sched.pop_next() {
-            Some((_, task, _)) => self.dispatch(task, false),
+            Some((_, task, _)) => self.dispatch(task),
             // Unreachable: the firmware tick always re-arms itself.
-            None => Ok(()),
-        }
-    }
-
-    /// [`DistScrollDevice::tick`] at the pre-event-core per-tick cost:
-    /// identical firmware work and byte-identical results (held to that
-    /// by the equivalence tests), but the board's power step re-scans
-    /// both display text buffers through the font table, as every tick
-    /// paid before the scheduler landed. This is the measured baseline
-    /// the bench's `sim_speedup` compares the event core against.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Hw`] on hardware faults (e.g. brown-out).
-    pub fn tick_compat(&mut self) -> Result<(), CoreError> {
-        match self.sched.pop_next() {
-            Some((_, task, _)) => self.dispatch(task, true),
             None => Ok(()),
         }
     }
@@ -350,8 +328,8 @@ impl DistScrollDevice {
     /// Jump-to-deadline driver: dispatches every scheduled task due
     /// strictly before `target`, in deadline order (ties in registration
     /// order), leaving the clock at the last dispatched deadline plus its
-    /// tick. The eval runner and the bench drive the simulation through
-    /// this entry point.
+    /// tick. The eval runner and the benchmark drive the simulation
+    /// through this entry point.
     ///
     /// # Errors
     ///
@@ -361,7 +339,7 @@ impl DistScrollDevice {
             let Some((_, task, _)) = self.sched.pop_next() else {
                 break;
             };
-            self.dispatch(task, false)?;
+            self.dispatch(task)?;
         }
         Ok(())
     }

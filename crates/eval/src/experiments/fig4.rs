@@ -33,7 +33,7 @@ pub struct MeasuredPoint {
 }
 
 /// Sweeps the bench: `repeats` readings at each distance step.
-pub fn measure_curve(
+pub fn sweep_curve(
     from_cm: f64,
     to_cm: f64,
     step_cm: f64,
@@ -70,7 +70,7 @@ pub fn measure_curve(
 pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     let step = effort.pick(2.0, 1.0);
     let repeats = effort.pick(6, 24);
-    let points = measure_curve(3.0, 35.0, step, repeats, seed);
+    let points = sweep_curve(3.0, 35.0, step, repeats, seed);
 
     // Fit only the valid branch, as the paper does.
     let valid: Vec<(f64, f64)> = points
@@ -183,7 +183,7 @@ mod tests {
 
     #[test]
     fn measured_points_cover_the_sweep() {
-        let pts = measure_curve(3.0, 35.0, 2.0, 4, 0);
+        let pts = sweep_curve(3.0, 35.0, 2.0, 4, 0);
         assert_eq!(pts.len(), 17);
         assert!(pts.iter().all(|p| p.volts > 0.0 && p.volts < 3.0));
     }

@@ -10,7 +10,7 @@ use distscroll_sensors::gp2d120;
 
 use crate::report::{AsciiPlot, Scale, Table};
 
-use super::fig4::measure_curve;
+use super::fig4::sweep_curve;
 use super::{Effort, ExperimentReport};
 
 /// Runs F5.
@@ -18,7 +18,7 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     let step = effort.pick(2.0, 0.5);
     let repeats = effort.pick(6, 24);
     // Same bench sweep as Figure 4 (the paper plots the same data twice).
-    let points = measure_curve(
+    let points = sweep_curve(
         gp2d120::MIN_VALID_CM,
         gp2d120::MAX_VALID_CM,
         step,

@@ -122,7 +122,7 @@ fn hold_position(
     pos: Position,
     disturbance: Disturbance,
     settle_ticks: u64,
-    measure_ticks: u64,
+    scored_ticks: u64,
     seed: u64,
 ) -> (u64, u64, u64, u64) {
     let mut profile = DeviceProfile::paper();
@@ -141,7 +141,7 @@ fn hold_position(
 
     let mut errors = 0u64;
     let mut flickers = 0u64;
-    for k in 0..settle_ticks + measure_ticks {
+    for k in 0..settle_ticks + scored_ticks {
         let t = k as f64 * tick_s;
         let measuring = k >= settle_ticks;
         // Incursions start only after settle, so the recognizer defends
@@ -180,7 +180,7 @@ fn hold_position(
         AnyRecognizer::Segmented(s) => s.ghosts_rejected(),
         AnyRecognizer::Classic(_) => 0,
     };
-    (errors, measure_ticks, flickers, ghosts)
+    (errors, scored_ticks, flickers, ghosts)
 }
 
 /// Runs one (recognizer × disturbance) cell over all positions.
@@ -192,7 +192,7 @@ pub fn run_cell(
 ) -> CellOutcome {
     let offsets: &[f64] = effort.pick(&[-0.8, 0.0, 0.8][..], &[-0.8, -0.4, 0.0, 0.4, 0.8][..]);
     let settle_ticks = effort.pick(50, 80);
-    let measure_ticks = effort.pick(150, 250);
+    let scored_ticks = effort.pick(150, 250);
     let positions = sample_positions(&DeviceProfile::paper(), offsets);
 
     let mut err_sum = 0.0;
@@ -205,14 +205,8 @@ pub fn run_cell(
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add((i as u64) << 8)
             .wrapping_add(kind as u64);
-        let (errors, measured, f, g) = hold_position(
-            kind,
-            pos,
-            disturbance,
-            settle_ticks,
-            measure_ticks,
-            pos_seed,
-        );
+        let (errors, measured, f, g) =
+            hold_position(kind, pos, disturbance, settle_ticks, scored_ticks, pos_seed);
         let err_frac = errors as f64 / measured.max(1) as f64;
         err_sum += err_frac;
         total_cm += pos.island_width_cm;

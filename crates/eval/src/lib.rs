@@ -29,8 +29,8 @@
 //! * [`runner`] — cohort × technique × condition trial loops,
 //! * [`report`] — text tables and ASCII plots (the "figures").
 //!
-//! Every experiment takes an [`experiments::Effort`] so benches can run
-//! scaled-down versions of exactly the same code.
+//! Every experiment takes an [`experiments::Effort`] so tests and CI
+//! smokes can run scaled-down versions of exactly the same code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -243,21 +243,6 @@ impl Board {
     pub fn step(&mut self, dt: SimDuration) {
         let lit = self.display(DisplayRole::Upper).lit_pixels()
             + self.display(DisplayRole::Lower).lit_pixels();
-        self.step_with_lit(lit, dt);
-    }
-
-    /// [`Board::step`] with the pre-event-core per-tick cost model: the
-    /// display load is recounted by scanning both text buffers through
-    /// the font table, exactly as every tick used to. Byte-identical to
-    /// `step` (the recount equals the cache); kept as the baseline driver
-    /// for the `sim_speedup` bench and the cache-equivalence tests.
-    pub fn step_recount(&mut self, dt: SimDuration) {
-        let lit = self.display(DisplayRole::Upper).recount_lit_pixels()
-            + self.display(DisplayRole::Lower).recount_lit_pixels();
-        self.step_with_lit(lit, dt);
-    }
-
-    fn step_with_lit(&mut self, lit: u32, dt: SimDuration) {
         let mut load = self.load.total_ma(lit, false);
         if !self.sensor_powered {
             load -= self.load.sensor_ma;

@@ -15,7 +15,7 @@ use crate::Diagnostic;
 /// Version of the rule set, shared by the scan cache (a bumped version
 /// invalidates every cached entry) and the SARIF tool descriptor.
 /// Bump whenever a rule's behavior, scope, or message changes.
-pub const RULES_VERSION: u32 = 3;
+pub const RULES_VERSION: u32 = 4;
 
 /// Every lint rule the scanner knows, in stable order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -193,8 +193,8 @@ pub enum FileKind {
 pub struct FileContext {
     /// Workspace-relative path with `/` separators.
     pub path: String,
-    /// Crate directory name under `crates/`, or `"distscroll"` for the
-    /// root package.
+    /// Crate directory name under `crates/`, `"perfbench"` for the
+    /// benchmark package, or `"distscroll"` for the root package.
     pub crate_name: String,
     /// Library / binary / test-like classification.
     pub kind: FileKind,
@@ -217,10 +217,10 @@ impl FileContext {
     /// Classifies a workspace-relative path (`/`-separated).
     pub fn classify(path: &str) -> FileContext {
         let parts: Vec<&str> = path.split('/').collect();
-        let crate_name = if parts.first() == Some(&"crates") && parts.len() > 1 {
-            parts[1].to_string()
-        } else {
-            "distscroll".to_string()
+        let crate_name = match parts.as_slice() {
+            ["crates", name, ..] => name,
+            ["perfbench", ..] => "perfbench",
+            _ => "distscroll",
         };
         let file_name = parts.last().copied().unwrap_or_default();
         let test_like = parts
@@ -228,14 +228,20 @@ impl FileContext {
             .any(|p| matches!(*p, "tests" | "benches" | "examples"));
         let kind = if test_like {
             FileKind::TestLike
-        } else if file_name == "main.rs" || file_name == "build.rs" || parts.contains(&"bin") {
+        } else if file_name == "main.rs"
+            || file_name == "build.rs"
+            || parts.contains(&"bin")
+            // The benchmark is a binary-only package of its own (not a
+            // workspace member), so every module in it is binary code.
+            || crate_name == "perfbench"
+        {
             FileKind::Bin
         } else {
             FileKind::Lib
         };
         FileContext {
             path: path.to_string(),
-            crate_name,
+            crate_name: crate_name.to_string(),
             kind,
         }
     }
@@ -535,8 +541,7 @@ pub fn scan_parsed(parsed: &ParsedFile, ctx: &FileContext) -> Vec<Diagnostic> {
             && (has_token(code, "clock.advance")
                 || has_token(code, "clock.advance_to")
                 || has_token(code, "SimClock::advance")
-                || has_token(code, "board.step")
-                || has_token(code, "board.step_recount"))
+                || has_token(code, "board.step"))
         {
             hits.push((
                 Rule::FixedTick,
@@ -971,6 +976,9 @@ mod tests {
             FileKind::TestLike
         );
         assert_eq!(FileContext::classify("src/lib.rs").crate_name, "distscroll");
+        let bench = FileContext::classify("perfbench/src/session.rs");
+        assert_eq!(bench.crate_name, "perfbench");
+        assert_eq!(bench.kind, FileKind::Bin);
     }
 
     #[test]
@@ -1174,10 +1182,10 @@ mod tests {
             rules_at(text, "crates/core/src/firmware.rs"),
             vec![(Rule::RawFilter, 1)]
         );
-        // Test-like code gets no exemption: benches hand-wiring the
+        // Test-like code gets no exemption: tests hand-wiring the
         // stages dodge the budgeted chain exactly like library code.
         assert_eq!(
-            rules_at(text, "crates/bench/benches/micro.rs"),
+            rules_at(text, "crates/eval/tests/filters.rs"),
             vec![(Rule::RawFilter, 1)]
         );
         // The two sanctioned construction sites: the stage owners.

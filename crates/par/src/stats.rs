@@ -5,8 +5,8 @@
 //! let the harness prove (rather than hope) that the parallelism budget
 //! holds. [`pool_stats`] snapshots them; [`reset_pool_stats`] rewinds
 //! the monotonic counters so a caller can attribute deltas to one stage
-//! of a run (the `--bench-out` report records one snapshot per timing
-//! pass).
+//! of a run (the benchmark's traced runs report the `par.*` counters
+//! this way; see `perfbench/README.md`).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
