@@ -23,15 +23,21 @@
 //!   never silently dropped: the caller learns immediately (the offer
 //!   returns `false`) and the books record it permanently.
 //! * **Bounded sessions** — each shard holds at most `session_capacity`
-//!   live sessions. Opening one more evicts the least-recently-touched
-//!   session (ties cannot occur: touches are serialized per shard).
-//!   Eviction folds the session's counters into the shard aggregate and
-//!   discards the decoder, so memory is O(shards + live sessions), not
-//!   O(devices × frames). A device that transmits again after eviction
-//!   gets a fresh resync decoder
+//!   live sessions (at least one). Opening one more evicts the
+//!   least-recently-touched session (ties cannot occur: touches are
+//!   serialized per shard). Sessions live in a slab of slots threaded
+//!   by an intrusive doubly linked recency list, least recent at the
+//!   head, with a device → slot map beside it: a touch relinks its slot
+//!   at the tail and eviction takes the head, both O(1) after the
+//!   device lookup, with no scan of the live sessions. Eviction folds the session's counters into the shard
+//!   aggregate and reuses its slot, with a fresh decoder, for the
+//!   session being opened, so memory is O(shards + live sessions), not
+//!   O(devices × frames). A device that transmits again after
+//!   eviction gets a fresh resync decoder
 //!   ([`StreamDecoder::with_arq_resync`](distscroll_host::telemetry::StreamDecoder::with_arq_resync))
 //!   that adopts the mid-stream sequence number — no stall, no
-//!   duplicate delivery.
+//!   duplicate delivery. Queued batches share one byte arena per shard,
+//!   which keeps its capacity from round to round.
 //! * **Streaming aggregation** — `LinkQuality` and interaction counters
 //!   accumulate online per shard; nothing retains per-frame history.
 //!
@@ -57,7 +63,8 @@ pub struct IngestConfig {
     /// shard's queue beyond this are shed (counted, refused).
     pub high_water: usize,
     /// Per-shard live-session bound: opening a session beyond this
-    /// evicts the least-recently-touched one first.
+    /// evicts the least-recently-touched one first. Must be at least 1
+    /// ([`IngestService::new`] refuses 0).
     pub session_capacity: usize,
 }
 

@@ -39,6 +39,10 @@ pub struct IngestService {
 impl IngestService {
     pub fn new(cfg: &IngestConfig) -> Self {
         assert!(cfg.shards > 0, "an ingest service needs at least one shard");
+        assert!(
+            cfg.session_capacity > 0,
+            "an ingest service needs room for at least one session per shard"
+        );
         IngestService {
             shards: (0..cfg.shards)
                 .map(|_| Mutex::new(Shard::new(cfg.session_capacity)))
@@ -150,6 +154,15 @@ mod tests {
         assert_eq!(stats.totals.events, 24);
         assert_eq!(stats.totals.link.delivered, 24);
         assert_eq!(stats.totals.frames_in, 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one session per shard")]
+    fn zero_session_capacity_is_refused() {
+        let _ = IngestService::new(&IngestConfig {
+            session_capacity: 0,
+            ..IngestConfig::unbounded(1)
+        });
     }
 
     #[test]

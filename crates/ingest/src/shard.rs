@@ -10,13 +10,6 @@ use std::collections::BTreeMap;
 use distscroll_host::telemetry::{Record, StreamDecoder};
 use distscroll_hw::arq::LinkQuality;
 
-/// One queued, not-yet-decoded chunk of a device's radio stream.
-#[derive(Debug, Clone)]
-pub(crate) struct Batch {
-    pub(crate) device: u64,
-    pub(crate) bytes: Vec<u8>,
-}
-
 /// Online per-shard aggregate: everything the fleet report needs, with
 /// memory independent of how many frames passed through.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -25,8 +18,11 @@ pub struct ShardStats {
     pub batches_in: u64,
     /// Radio bytes accepted into the queue.
     pub bytes_in: u64,
-    /// Link-layer frames that completed decode (records + malformed +
-    /// CRC failures).
+    /// Frames that reached record parsing or failed the link-layer CRC:
+    /// `records + records_bad + crc_failures`. CRC-valid frames the ARQ
+    /// receiver drops (duplicates, counted in `link.duplicates`) or
+    /// still holds parked when a session closes are not included, so
+    /// this is not the number of frames that arrived.
     pub frames_in: u64,
     /// Records parsed successfully, across live and evicted sessions.
     pub records: u64,
@@ -79,15 +75,29 @@ impl ShardStats {
     }
 }
 
-/// One live session: the decoder carrying the ARQ receiver, and the
-/// touch stamp that orders eviction.
-#[derive(Debug, Clone)]
-struct Session {
+/// `prev`/`next` value of a slot at an end of the recency list.
+const NIL: usize = usize::MAX;
+
+/// One slab slot: a live session's device and decoder, threaded into
+/// the shard's recency list.
+#[derive(Debug)]
+struct Slot {
+    device: u64,
     decoder: StreamDecoder,
-    last_touch: u64,
+    /// Next less recently touched slot, or [`NIL`] at the head.
+    prev: usize,
+    /// Next more recently touched slot, or [`NIL`] at the tail.
+    next: usize,
 }
 
 /// One shard: exclusive owner of the sessions its devices hash to.
+///
+/// Live sessions sit in a slab of slots that an intrusive doubly linked
+/// list orders by last touch, least recent at `head`. A touch relinks
+/// the slot at `tail` and eviction takes `head`, both O(1) after the
+/// device lookup; the evicted slot is reused for the session being
+/// opened, so the slab never outgrows `capacity`. Queued batches share
+/// one byte arena that keeps its capacity across rounds.
 ///
 /// All mutation happens through [`Shard::enqueue`] (producer side) and
 /// [`Shard::process_queue`] (worker side); the service guarantees the
@@ -96,22 +106,31 @@ struct Session {
 /// deterministic at any `--jobs`.
 #[derive(Debug)]
 pub(crate) struct Shard {
-    sessions: BTreeMap<u64, Session>,
-    queue: Vec<Batch>,
+    slots: Vec<Slot>,
+    /// Device → its slot in `slots`.
+    index: BTreeMap<u64, usize>,
+    /// Least recently touched slot (the next victim), or [`NIL`].
+    head: usize,
+    /// Most recently touched slot, or [`NIL`].
+    tail: usize,
+    /// Queued batches' bytes, back to back.
+    arena: Vec<u8>,
+    /// Queued batches in FIFO order: device and end offset in `arena`.
+    queue: Vec<(u64, usize)>,
     stats: ShardStats,
-    /// Monotonic per-shard touch counter; unique per batch, so LRU
-    /// eviction never has to break a tie.
-    touch: u64,
     capacity: usize,
 }
 
 impl Shard {
     pub(crate) fn new(capacity: usize) -> Self {
         Shard {
-            sessions: BTreeMap::new(),
+            slots: Vec::new(),
+            index: BTreeMap::new(),
+            head: NIL,
+            tail: NIL,
+            arena: Vec::new(),
             queue: Vec::new(),
             stats: ShardStats::default(),
-            touch: 0,
             capacity,
         }
     }
@@ -126,73 +145,111 @@ impl Shard {
         }
         self.stats.batches_in += 1;
         self.stats.bytes_in += bytes.len() as u64;
-        self.queue.push(Batch {
-            device,
-            bytes: bytes.to_vec(),
-        });
+        self.arena.extend_from_slice(bytes);
+        self.queue.push((device, self.arena.len()));
         true
     }
 
-    /// Drains the queue in FIFO order through the owning sessions.
+    /// Drains the queue in FIFO order through the owning sessions. The
+    /// queue and arena are emptied but keep their capacity.
     pub(crate) fn process_queue(&mut self) {
-        let batches = std::mem::take(&mut self.queue);
-        for batch in batches {
-            self.touch += 1;
-            let touch = self.touch;
-            if !self.sessions.contains_key(&batch.device) {
-                if self.sessions.len() >= self.capacity {
-                    self.evict_lru();
-                }
-                self.stats.sessions_opened += 1;
-                // No pragma needed: the raw-decoder rule exempts this
-                // file — the shard registry IS the sanctioned
-                // construction site.
-                let decoder = StreamDecoder::with_arq_resync();
-                self.sessions.insert(
-                    batch.device,
-                    Session {
-                        decoder,
-                        last_touch: touch,
-                    },
-                );
-                let live = self.sessions.len() as u64;
-                self.stats.peak_sessions = self.stats.peak_sessions.max(live);
-            }
-            let Some(session) = self.sessions.get_mut(&batch.device) else {
-                continue; // unreachable: inserted above
+        let mut queue = std::mem::take(&mut self.queue);
+        let mut start = 0;
+        for &(device, end) in &queue {
+            let slot = self.touch(device);
+            let Some(Slot { decoder, .. }) = self.slots.get_mut(slot) else {
+                continue; // unreachable: touch returns a live slot
             };
-            session.last_touch = touch;
-            let was_resynced = session.decoder.arq_resynced();
+            let bytes = self.arena.get(start..end).unwrap_or_default();
+            start = end;
+            let was_resynced = decoder.arq_resynced();
             let (events, states) = (&mut self.stats.events, &mut self.stats.states);
-            session
-                .decoder
-                .push_bytes_with(&batch.bytes, |rec| match rec {
-                    Record::Event(_) => *events += 1,
-                    Record::State(_) => *states += 1,
-                });
-            if session.decoder.arq_resynced() == Some(true) && was_resynced == Some(false) {
+            decoder.push_bytes_with(bytes, |rec| match rec {
+                Record::Event(_) => *events += 1,
+                Record::State(_) => *states += 1,
+            });
+            if decoder.arq_resynced() == Some(true) && was_resynced == Some(false) {
                 self.stats.resyncs += 1;
             }
         }
+        queue.clear();
+        self.queue = queue;
+        self.arena.clear();
     }
 
-    /// Evicts the least-recently-touched session, folding its counters
-    /// into the shard aggregate. Touch stamps are unique within a shard,
-    /// so the victim is unambiguous.
-    fn evict_lru(&mut self) {
-        let victim = self
-            .sessions
-            .iter()
-            .min_by_key(|(device, s)| (s.last_touch, **device))
-            .map(|(device, _)| *device);
-        let Some(device) = victim else {
-            return;
+    /// Returns the slot of `device`'s session, now the most recently
+    /// touched. A device without a session opens one; at capacity it
+    /// takes over the least recently touched session's slot, whose
+    /// counters are folded into the aggregate first.
+    fn touch(&mut self, device: u64) -> usize {
+        if let Some(&slot) = self.index.get(&device) {
+            self.unlink(slot);
+            self.push_tail(slot);
+            return slot;
+        }
+        self.stats.sessions_opened += 1;
+        // No pragma needed: the raw-decoder rule exempts this file —
+        // the shard registry IS the sanctioned construction site.
+        let decoder = StreamDecoder::with_arq_resync();
+        let full = self.index.len() >= self.capacity;
+        let slot = match self.slots.get_mut(self.head) {
+            // At capacity the least recently touched session makes way
+            // and its slot is reused.
+            Some(victim) if full => {
+                self.index.remove(&victim.device);
+                victim.device = device;
+                let retired = std::mem::replace(&mut victim.decoder, decoder);
+                self.stats.evicted += 1;
+                Self::fold_decoder(&mut self.stats, &retired);
+                let slot = self.head;
+                self.unlink(slot);
+                slot
+            }
+            _ => {
+                self.slots.push(Slot {
+                    device,
+                    decoder,
+                    prev: NIL,
+                    next: NIL,
+                });
+                self.slots.len() - 1
+            }
         };
-        let Some(session) = self.sessions.remove(&device) else {
-            return;
+        self.index.insert(device, slot);
+        self.push_tail(slot);
+        let live = self.index.len() as u64;
+        self.stats.peak_sessions = self.stats.peak_sessions.max(live);
+        slot
+    }
+
+    /// Takes `slot` out of the recency list.
+    fn unlink(&mut self, slot: usize) {
+        let (prev, next) = match self.slots.get(slot) {
+            Some(s) => (s.prev, s.next),
+            None => return,
         };
-        self.stats.evicted += 1;
-        Self::fold_decoder(&mut self.stats, &session.decoder);
+        match self.slots.get_mut(prev) {
+            Some(p) => p.next = next,
+            None => self.head = next,
+        }
+        match self.slots.get_mut(next) {
+            Some(n) => n.prev = prev,
+            None => self.tail = prev,
+        }
+    }
+
+    /// Links `slot` in as the most recently touched.
+    fn push_tail(&mut self, slot: usize) {
+        let old_tail = self.tail;
+        if let Some(s) = self.slots.get_mut(slot) {
+            s.prev = old_tail;
+            s.next = NIL;
+        }
+        match self.slots.get_mut(old_tail) {
+            Some(t) => t.next = slot,
+            None => self.head = slot,
+        }
+        self.tail = slot;
     }
 
     /// Streams a retiring decoder's counters into the aggregate.
@@ -210,16 +267,18 @@ impl Shard {
     /// (without counting them as evictions) and returns the final
     /// stats. The shard is drained afterwards.
     pub(crate) fn finish(&mut self) -> ShardStats {
-        let sessions = std::mem::take(&mut self.sessions);
-        for session in sessions.values() {
-            Self::fold_decoder(&mut self.stats, &session.decoder);
+        for slot in self.slots.drain(..) {
+            Self::fold_decoder(&mut self.stats, &slot.decoder);
         }
+        self.index.clear();
+        self.head = NIL;
+        self.tail = NIL;
         self.stats
     }
 
     /// Live sessions right now (bounded by `session_capacity`).
     pub(crate) fn live_sessions(&self) -> usize {
-        self.sessions.len()
+        self.index.len()
     }
 
     /// Batches queued and not yet processed.
@@ -233,6 +292,7 @@ mod tests {
     use super::*;
     use distscroll_hw::arq::{ArqClass, ArqTx};
     use distscroll_hw::link::encode_frame;
+    use proptest::prelude::*;
 
     /// A clean in-order ARQ byte stream carrying `n` event records,
     /// continuing an existing transmitter.
@@ -291,5 +351,177 @@ mod tests {
         assert_eq!(stats.records, 5);
         assert_eq!(stats.frames_in, 5);
         assert_eq!(stats.peak_sessions, 1);
+    }
+
+    /// The reference session table: the linear-scan LRU the slab
+    /// replaced. Every session carries its last-touch stamp, and
+    /// eviction scans all live sessions for the oldest one.
+    struct ScanShard {
+        sessions: BTreeMap<u64, (StreamDecoder, u64)>,
+        queue: Vec<(u64, Vec<u8>)>,
+        stats: ShardStats,
+        touch: u64,
+        capacity: usize,
+    }
+
+    impl ScanShard {
+        fn new(capacity: usize) -> Self {
+            ScanShard {
+                sessions: BTreeMap::new(),
+                queue: Vec::new(),
+                stats: ShardStats::default(),
+                touch: 0,
+                capacity,
+            }
+        }
+
+        fn enqueue(&mut self, device: u64, bytes: &[u8], high_water: usize) -> bool {
+            if self.queue.len() >= high_water {
+                self.stats.shed_batches += 1;
+                self.stats.shed_bytes += bytes.len() as u64;
+                return false;
+            }
+            self.stats.batches_in += 1;
+            self.stats.bytes_in += bytes.len() as u64;
+            self.queue.push((device, bytes.to_vec()));
+            true
+        }
+
+        fn process_queue(&mut self) {
+            for (device, bytes) in std::mem::take(&mut self.queue) {
+                self.touch += 1;
+                if !self.sessions.contains_key(&device) {
+                    if self.sessions.len() >= self.capacity {
+                        let victim = self
+                            .sessions
+                            .iter()
+                            .min_by_key(|(device, (_, last_touch))| (*last_touch, **device))
+                            .map(|(device, _)| *device);
+                        if let Some((decoder, _)) = victim.and_then(|v| self.sessions.remove(&v)) {
+                            self.stats.evicted += 1;
+                            Shard::fold_decoder(&mut self.stats, &decoder);
+                        }
+                    }
+                    self.stats.sessions_opened += 1;
+                    self.sessions
+                        .insert(device, (StreamDecoder::with_arq_resync(), self.touch));
+                    let live = self.sessions.len() as u64;
+                    self.stats.peak_sessions = self.stats.peak_sessions.max(live);
+                }
+                let (decoder, last_touch) = self.sessions.get_mut(&device).unwrap();
+                *last_touch = self.touch;
+                let was_resynced = decoder.arq_resynced();
+                let (events, states) = (&mut self.stats.events, &mut self.stats.states);
+                decoder.push_bytes_with(&bytes, |rec| match rec {
+                    Record::Event(_) => *events += 1,
+                    Record::State(_) => *states += 1,
+                });
+                if decoder.arq_resynced() == Some(true) && was_resynced == Some(false) {
+                    self.stats.resyncs += 1;
+                }
+            }
+        }
+
+        /// Live devices, least recently touched first.
+        fn recency(&self) -> Vec<u64> {
+            let mut live: Vec<(u64, u64)> =
+                self.sessions.iter().map(|(d, (_, t))| (*t, *d)).collect();
+            live.sort_unstable();
+            live.into_iter().map(|(_, d)| d).collect()
+        }
+
+        fn finish(&mut self) -> ShardStats {
+            for (decoder, _) in std::mem::take(&mut self.sessions).values() {
+                Shard::fold_decoder(&mut self.stats, decoder);
+            }
+            self.stats
+        }
+    }
+
+    /// The slab's live devices walked from `head` to `tail`, checking
+    /// the back links on the way.
+    fn recency(shard: &Shard) -> Vec<u64> {
+        let mut order = Vec::new();
+        let (mut at, mut prev) = (shard.head, NIL);
+        while at != NIL {
+            let slot = &shard.slots[at];
+            assert_eq!(slot.prev, prev, "back link of slot {at}");
+            assert_eq!(
+                shard.index.get(&slot.device),
+                Some(&at),
+                "index of slot {at}"
+            );
+            order.push(slot.device);
+            (prev, at) = (at, slot.next);
+        }
+        assert_eq!(shard.tail, prev, "tail");
+        assert_eq!(
+            order.len(),
+            shard.index.len(),
+            "every indexed slot is linked"
+        );
+        order
+    }
+
+    /// The next `n` records of `tx`'s stream as radio bytes, acked at
+    /// once so the transmitter never retransmits.
+    fn acked_chunk(tx: &mut ArqTx, n: u8) -> Vec<u8> {
+        let mut last = None;
+        for i in 0..n {
+            last = tx
+                .enqueue(ArqClass::Event, &[b'E', 0, i, b'B', 0], 0)
+                .or(last);
+        }
+        let mut bytes = Vec::new();
+        tx.service(0, |wire| bytes.extend_from_slice(&encode_frame(wire)));
+        if let Some(seq) = last {
+            tx.on_ack(seq, 0);
+        }
+        bytes
+    }
+
+    // The slab and the scan evict the same victims in the same order
+    // and keep identical books, whatever the schedule. Each offer is
+    // (device, records, fate): fate 4 loses the chunk on the air (the
+    // next one arrives after a gap), fate 5 flips a byte (a CRC
+    // failure), anything else arrives clean.
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        #[test]
+        fn slab_matches_the_linear_scan_reference(
+            capacity in 1usize..9,
+            high_water in 1usize..20,
+            rounds in collection::vec(collection::vec((0u64..32, 0u8..4, 0u8..6), 0..16), 1..24),
+        ) {
+            let mut shard = Shard::new(capacity);
+            let mut reference = ScanShard::new(capacity);
+            let mut txs: Vec<ArqTx> = (0..32).map(|_| ArqTx::new()).collect();
+            for offers in &rounds {
+                for &(device, n, fate) in offers {
+                    let mut bytes = acked_chunk(&mut txs[device as usize], n);
+                    match fate {
+                        4 => continue,
+                        5 => {
+                            if let Some(b) = bytes.last_mut() {
+                                *b ^= 0x5a;
+                            }
+                        }
+                        _ => {}
+                    }
+                    prop_assert_eq!(
+                        shard.enqueue(device, &bytes, high_water),
+                        reference.enqueue(device, &bytes, high_water)
+                    );
+                }
+                shard.process_queue();
+                reference.process_queue();
+                prop_assert_eq!(shard.queued(), 0);
+                prop_assert!(shard.live_sessions() <= capacity);
+                prop_assert_eq!(recency(&shard), reference.recency());
+                prop_assert_eq!(shard.stats, reference.stats);
+            }
+            prop_assert_eq!(shard.finish(), reference.finish());
+        }
     }
 }
