@@ -523,25 +523,6 @@ impl DistScrollDevice {
         self.board.drain_received_into(out);
     }
 
-    /// Drains the firmware's interaction events.
-    ///
-    /// Owned-`Vec` convenience over
-    /// [`DistScrollDevice::drain_events_into`]; poll loops should prefer
-    /// [`DistScrollDevice::poll_events`], which does not allocate.
-    pub fn drain_events(&mut self) -> Vec<TimedEvent> {
-        self.fw.drain_events()
-    }
-
-    /// Drains telemetry frames that have reached the host.
-    ///
-    /// Owned-`Vec` convenience over
-    /// [`DistScrollDevice::drain_telemetry_into`]; poll loops should
-    /// prefer [`DistScrollDevice::poll_telemetry`], which does not
-    /// allocate.
-    pub fn drain_telemetry(&mut self) -> Vec<Telemetry> {
-        self.board.drain_received()
-    }
-
     /// ASCII art of the upper (menu) display.
     pub fn upper_display_art(&self) -> String {
         self.board.display(DisplayRole::Upper).as_ascii_art()
@@ -612,34 +593,26 @@ mod tests {
     }
 
     #[test]
-    fn poll_forms_match_the_owned_drains() {
-        let run = |mode: usize| {
+    fn poll_forms_match_the_drain_into_forms() {
+        let run = |poll: bool| {
             let mut dev = DistScrollDevice::new(DeviceProfile::paper(), Menu::flat(8), 21);
             dev.set_distance(dev.island_center_cm(3).unwrap());
             dev.run_for_ms(500).unwrap();
             dev.click_select().unwrap();
             let mut events: Vec<TimedEvent> = Vec::new();
             let mut frames: Vec<Telemetry> = Vec::new();
-            match mode {
-                0 => {
-                    events = dev.drain_events();
-                    frames = dev.drain_telemetry();
-                }
-                1 => {
-                    dev.drain_events_into(&mut events);
-                    dev.drain_telemetry_into(&mut frames);
-                }
-                _ => {
-                    dev.poll_events(&mut |e: &TimedEvent| events.push(e.clone()));
-                    dev.poll_telemetry(&mut |t: &Telemetry| frames.push(t.clone()));
-                }
+            if poll {
+                dev.poll_events(&mut |e: &TimedEvent| events.push(e.clone()));
+                dev.poll_telemetry(&mut |t: &Telemetry| frames.push(t.clone()));
+            } else {
+                dev.drain_events_into(&mut events);
+                dev.drain_telemetry_into(&mut frames);
             }
             (events, frames)
         };
-        let owned = run(0);
-        assert_eq!(owned, run(1), "drain_into must match the owned drain");
-        assert_eq!(owned, run(2), "poll must match the owned drain");
-        assert!(!owned.0.is_empty() && !owned.1.is_empty());
+        let drained = run(false);
+        assert_eq!(drained, run(true), "poll must match drain_into");
+        assert!(!drained.0.is_empty() && !drained.1.is_empty());
     }
 
     #[test]

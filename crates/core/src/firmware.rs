@@ -250,11 +250,6 @@ impl Firmware {
         &self.log
     }
 
-    /// Drains the interaction event log.
-    pub fn drain_events(&mut self) -> Vec<TimedEvent> {
-        self.log.drain()
-    }
-
     /// Visits and clears the pending interaction events — the
     /// zero-allocation drain.
     pub fn poll_events<S: EventSink + ?Sized>(&mut self, sink: &mut S) {
@@ -1053,7 +1048,8 @@ mod tests {
     fn telemetry_frames_reach_the_host() {
         let mut r = rig();
         r.hold_at(12.0, 800);
-        let frames = r.board.drain_received();
+        let mut frames = Vec::new();
+        r.board.drain_received_into(&mut frames);
         assert!(!frames.is_empty(), "telemetry must flow");
         let mut dec = distscroll_hw::link::FrameDecoder::new();
         let mut payloads = Vec::new();

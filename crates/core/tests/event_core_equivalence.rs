@@ -217,5 +217,8 @@ fn run_for_ms_covers_exactly_the_requested_span() {
     }
     assert_eq!(by_ms.now(), by_tick.now());
     assert_eq!(by_ms.lower_display_art(), by_tick.lower_display_art());
-    assert_eq!(by_ms.drain_telemetry(), by_tick.drain_telemetry());
+    let (mut ms_frames, mut tick_frames) = (Vec::new(), Vec::new());
+    by_ms.drain_telemetry_into(&mut ms_frames);
+    by_tick.drain_telemetry_into(&mut tick_frames);
+    assert_eq!(ms_frames, tick_frames);
 }

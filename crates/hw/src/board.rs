@@ -436,17 +436,6 @@ impl Board {
         out.append(&mut self.arrived);
     }
 
-    /// Frames that have arrived at the host by now, in arrival order.
-    ///
-    /// Owned-`Vec` convenience over [`Board::drain_received_into`]; poll
-    /// loops should prefer [`Board::poll_received`], which does not
-    /// allocate.
-    pub fn drain_received(&mut self) -> Vec<Telemetry> {
-        let mut out = Vec::new();
-        self.drain_received_into(&mut out);
-        out
-    }
-
     /// Frames handed to the radio since boot.
     pub fn frames_sent(&self) -> u64 {
         self.frames_sent
@@ -664,12 +653,11 @@ mod tests {
         let mut board = Board::new();
         let mut rng = StdRng::seed_from_u64(0);
         board.send_telemetry(b"adc=512", &mut rng);
-        assert!(
-            board.drain_received().is_empty(),
-            "nothing arrives instantly"
-        );
+        let mut got = Vec::new();
+        board.drain_received_into(&mut got);
+        assert!(got.is_empty(), "nothing arrives instantly");
         board.step(SimDuration::from_millis(50));
-        let got = board.drain_received();
+        board.drain_received_into(&mut got);
         assert_eq!(got.len(), 1);
         let mut dec = crate::link::FrameDecoder::new();
         let frames = dec.push_all(&got[0].bytes);
@@ -693,25 +681,6 @@ mod tests {
         assert_eq!(board.spare.len(), 2);
         board.send_telemetry(b"third", &mut rng);
         assert_eq!(board.spare.len(), 1, "send reuses a recycled buffer");
-    }
-
-    #[test]
-    fn drain_received_into_matches_legacy_drain() {
-        let make = || {
-            let mut board = Board::new();
-            let mut rng = StdRng::seed_from_u64(7);
-            for i in 0..5u8 {
-                board.send_telemetry(&[i; 4], &mut rng);
-                board.step(SimDuration::from_millis(3));
-            }
-            board.step(SimDuration::from_millis(40));
-            board
-        };
-        let legacy = make().drain_received();
-        let mut into = Vec::new();
-        make().drain_received_into(&mut into);
-        assert_eq!(legacy, into);
-        assert!(!legacy.is_empty());
     }
 
     #[test]

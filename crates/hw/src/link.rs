@@ -184,16 +184,6 @@ impl FrameDecoder {
         self.replay.len() as u64 + in_flight as u64
     }
 
-    /// Pushes one received byte.
-    ///
-    /// Owned-`Vec` convenience over [`FrameDecoder::push_frame`]: the
-    /// returned payload is copied out of the decoder's scratch buffer.
-    /// Steady-state poll loops should prefer `push_frame`, which does
-    /// not allocate.
-    pub fn push(&mut self, byte: u8) -> Option<Result<Vec<u8>, HwError>> {
-        self.push_frame(byte).map(|r| r.map(<[u8]>::to_vec))
-    }
-
     /// Pushes one received byte, lending completed payloads.
     ///
     /// Returns `Some(Ok(payload))` when a frame completes with a valid
@@ -329,8 +319,12 @@ impl FrameDecoder {
     /// errors in order — including frames recovered from the bytes of
     /// failed attempts ([`FrameDecoder::pump`]).
     pub fn push_all(&mut self, bytes: &[u8]) -> Vec<Result<Vec<u8>, HwError>> {
-        let mut out: Vec<Result<Vec<u8>, HwError>> =
-            bytes.iter().filter_map(|&b| self.push(b)).collect();
+        let mut out = Vec::new();
+        for &b in bytes {
+            if let Some(res) = self.push_frame(b) {
+                out.push(res.map(<[u8]>::to_vec));
+            }
+        }
         while let Some(res) = self.pump() {
             out.push(res.map(<[u8]>::to_vec));
         }

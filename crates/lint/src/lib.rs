@@ -12,12 +12,11 @@
 //! workspace sources and flags violations of exactly those rules;
 //! `cargo run -p xtask -- lint` drives it, CI runs it on every push.
 //!
-//! Since PR 8 the scanner is no longer a pure line matcher: a
-//! brace-aware parser ([`parse`]) recovers items, `#[cfg(test)]`
-//! regions and `let`-binding lifetimes, a workspace symbol index
-//! ([`index`]) is built as a by-product, results are cached per file
-//! under `target/lint-cache` ([`cache`]), and diagnostics are emitted
-//! as SARIF 2.1.0 ([`sarif`]) alongside the JSON report.
+//! The scanner is not a pure line matcher: a brace-aware parser
+//! ([`parse`]) recovers `#[cfg(test)]` regions and `let`-binding
+//! lifetimes, which the flow-aware rules read. Each run is one
+//! stateless pass ([`scan`]): walk the tree, parse each file, run the
+//! rules, report. Nothing persists between runs.
 //!
 //! # Rules
 //!
@@ -29,12 +28,12 @@
 //! | `unordered-iter` | first-party library code | `HashMap` / `HashSet` (use `BTreeMap` / `BTreeSet`) |
 //! | `unsafe-audit` | everywhere | `unsafe` outside the audited allowlist, or without a `// SAFETY:` comment |
 //! | `panic-hygiene` | first-party library code outside tests | `.unwrap()` / `.expect(` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` |
-//! | `event-drain` | everywhere but `crates/core` | `drain_events` / `drain_telemetry` (allocate-per-poll; use the sink or `drain_*_into` forms) |
 //! | `raw-seq` | everywhere but `crates/hw` | `from_raw` — ARQ sequence numbers come from `decode_data` / `decode_ack`, never hand-built |
 //! | `raw-decoder` | `crates/ingest` outside `src/shard.rs` | `StreamDecoder::new` / `::with_arq` / `::with_arq_resync` / `::default` — fleet sessions are opened by the shard registry only |
 //! | `fixed-tick` | everywhere but `crates/hw` and `#[cfg(test)]` | `clock.advance` / `board.step` — register a deadline with `distscroll_hw::sched` and drive time through the device dispatch |
 //! | `guard-across-fanout` | everywhere but `crates/par` | a `.lock()` / `lock_unpoisoned()` guard binding still live at a `par_map` / `par_map_ctx` call — deadlock risk under the token budget |
 //! | `serial-arith` | everywhere but `crates/hw` | raw `+` `-` `<` `>` on a wrapping serial number (`Seq16`, 16-bit stamps) — use the RFC 1982 helpers |
+//! | `raw-filter` | everywhere but `crates/recognizer` and `crates/sensors` | `MedianFilter::new` / `Ema::new` / `SlewGate::new` — build a `ClassicChain` or `Segmented` recognizer |
 //! | `unused-pragma` | everywhere | a valid `lint:allow` pragma that suppresses zero diagnostics |
 //! | `bad-pragma` | everywhere | `lint:allow` pragmas that name no known rule or carry no reason |
 //!
@@ -67,19 +66,12 @@
 //! or any extra diagnostic appears — the linter is tested against its
 //! own spec on every CI run.
 
-pub mod cache;
-pub mod index;
-pub mod json;
 pub mod parse;
 pub mod rules;
-pub mod sarif;
 pub mod scan;
 
-pub use cache::CacheStats;
-pub use index::IndexStats;
-pub use rules::{scan_source, FileContext, FileKind, Rule, ALL_RULES, RULES_VERSION};
-pub use sarif::diagnostics_to_sarif;
-pub use scan::{scan_workspace, scan_workspace_with, ScanOptions, ScanReport};
+pub use rules::{scan_source, FileContext, FileKind, Rule, ALL_RULES};
+pub use scan::{scan_workspace, ScanReport};
 
 use std::fmt;
 use std::path::PathBuf;
@@ -149,7 +141,7 @@ impl std::error::Error for LintError {
 }
 
 /// Escapes a string for inclusion in a JSON document.
-pub(crate) fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -167,34 +159,14 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
-/// Renders diagnostics as a machine-readable JSON document (schema 2):
-/// scan totals, cache accounting (`hits`/`misses` each on their own
-/// line so CI can assert the warm run with a grep), symbol-index
-/// stats, and the diagnostics themselves — the artifact the CI
+/// Renders diagnostics as a machine-readable JSON document (schema 3):
+/// scan totals and the diagnostics themselves — the artifact the CI
 /// `static-analysis` job uploads.
-pub fn diagnostics_to_json(
-    diags: &[Diagnostic],
-    files_scanned: usize,
-    cache: &CacheStats,
-    index: &IndexStats,
-) -> String {
+pub fn diagnostics_to_json(diags: &[Diagnostic], files_scanned: usize) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": 2,\n");
+    out.push_str("  \"schema\": 3,\n");
     out.push_str(&format!("  \"files_scanned\": {files_scanned},\n"));
     out.push_str(&format!("  \"violations\": {},\n", diags.len()));
-    out.push_str("  \"cache\": {\n");
-    out.push_str(&format!("    \"enabled\": {},\n", cache.enabled));
-    out.push_str(&format!("    \"hits\": {},\n", cache.hits));
-    out.push_str(&format!("    \"misses\": {}\n", cache.misses));
-    out.push_str("  },\n");
-    out.push_str("  \"index\": {\n");
-    out.push_str(&format!("    \"crates\": {},\n", index.crates));
-    out.push_str(&format!("    \"modules\": {},\n", index.modules));
-    out.push_str(&format!("    \"fns\": {},\n", index.fns));
-    out.push_str(&format!("    \"impls\": {},\n", index.impls));
-    out.push_str(&format!("    \"uses\": {},\n", index.uses));
-    out.push_str(&format!("    \"bindings\": {}\n", index.bindings));
-    out.push_str("  },\n");
     out.push_str("  \"diagnostics\": [\n");
     for (i, d) in diags.iter().enumerate() {
         let comma = if i + 1 < diags.len() { "," } else { "" };
@@ -253,7 +225,6 @@ pub fn self_test(fixture_dir: &std::path::Path) -> Result<Vec<String>, LintError
 
     let mut summaries = Vec::new();
     let mut rules_covered: Vec<Rule> = Vec::new();
-    let mut all_diags: Vec<Diagnostic> = Vec::new();
     for path in &entries {
         let text = std::fs::read_to_string(path).map_err(|source| LintError::Io {
             path: path.clone(),
@@ -266,9 +237,10 @@ pub fn self_test(fixture_dir: &std::path::Path) -> Result<Vec<String>, LintError
         let (virtual_path, expected) = parse_fixture_header(&name, &text)?;
 
         let ctx = FileContext::classify(&virtual_path);
-        let diags = scan_source(&text, &ctx);
-        let mut found: Vec<(Rule, usize)> = diags.iter().map(|d| (d.rule, d.line)).collect();
-        all_diags.extend(diags);
+        let mut found: Vec<(Rule, usize)> = scan_source(&text, &ctx)
+            .iter()
+            .map(|d| (d.rule, d.line))
+            .collect();
         found.sort();
         let mut expected_sorted = expected.clone();
         expected_sorted.sort();
@@ -302,31 +274,6 @@ pub fn self_test(fixture_dir: &std::path::Path) -> Result<Vec<String>, LintError
         }
     }
 
-    // The SARIF emitter is part of the contract: render every fixture
-    // diagnostic and prove the document parses as JSON with one rule
-    // descriptor per rule.
-    let sarif_doc = sarif::diagnostics_to_sarif(&all_diags);
-    let parsed = json::parse(&sarif_doc)
-        .map_err(|e| LintError::Fixture(format!("emitted SARIF is not valid JSON: {e}")))?;
-    let rules_len = parsed
-        .get("runs")
-        .and_then(|r| r.as_arr())
-        .and_then(|runs| runs.first())
-        .and_then(|run| run.get("tool"))
-        .and_then(|t| t.get("driver"))
-        .and_then(|d| d.get("rules"))
-        .and_then(|r| r.as_arr())
-        .map(<[_]>::len);
-    if rules_len != Some(ALL_RULES.len()) {
-        return Err(LintError::Fixture(format!(
-            "SARIF rule table has {rules_len:?} entries, expected {}",
-            ALL_RULES.len()
-        )));
-    }
-    summaries.push(format!(
-        "sarif: {} result(s) validated against the 2.1.0 shape",
-        all_diags.len()
-    ));
     Ok(summaries)
 }
 
@@ -385,37 +332,26 @@ mod tests {
     }
 
     #[test]
-    fn json_document_shape_holds() {
+    fn json_report_is_pinned_byte_for_byte() {
         let diags = vec![Diagnostic {
             file: "crates/x/src/lib.rs".into(),
             line: 3,
             rule: Rule::PanicHygiene,
-            message: "no".into(),
+            message: "say \"no\"\nthen stop".into(),
             snippet: "x.unwrap()".into(),
         }];
-        let cache = CacheStats {
-            enabled: true,
-            hits: 7,
-            misses: 3,
-        };
-        let index = IndexStats {
-            crates: 2,
-            modules: 5,
-            fns: 40,
-            impls: 6,
-            uses: 12,
-            bindings: 90,
-        };
-        let doc = diagnostics_to_json(&diags, 10, &cache, &index);
-        assert!(doc.contains("\"schema\": 2"));
-        assert!(doc.contains("\"files_scanned\": 10"));
-        assert!(doc.contains("\"hits\": 7"));
-        assert!(doc.contains("\"misses\": 3"));
-        assert!(doc.contains("\"fns\": 40"));
-        assert!(doc.contains("\"rule\": \"panic-hygiene\""));
-        assert!(doc.contains("\"line\": 3"));
-        // The report must itself parse under the bundled JSON reader.
-        json::parse(&doc).expect("schema-2 report must be valid JSON");
+        let expected = concat!(
+            "{\n",
+            "  \"schema\": 3,\n",
+            "  \"files_scanned\": 10,\n",
+            "  \"violations\": 1,\n",
+            "  \"diagnostics\": [\n",
+            "    {\"file\": \"crates/x/src/lib.rs\", \"line\": 3, \"rule\": \"panic-hygiene\", ",
+            "\"message\": \"say \\\"no\\\"\\nthen stop\", \"snippet\": \"x.unwrap()\"}\n",
+            "  ]\n",
+            "}\n",
+        );
+        assert_eq!(diagnostics_to_json(&diags, 10), expected);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The semantic layer under the rules: a lexer that strips comments
-//! and string literals, and a brace-aware item parser that recovers
-//! enough structure — items, `#[cfg(test)]` regions, and `let`-binding
-//! lifetimes inside function bodies — for flow-aware rules to reason
-//! about code that spans lines.
+//! and string literals, and a brace-aware parser that recovers enough
+//! structure — `#[cfg(test)]` regions and `let`-binding lifetimes
+//! inside function bodies — for flow-aware rules to reason about code
+//! that spans lines.
 //!
 //! This is deliberately *not* a Rust grammar. It is a single forward
 //! pass that tracks brace depth and never backtracks, so it is fast,
@@ -16,8 +16,6 @@
 //! The lexer improves on the PR 3 line scanner in one semantic way:
 //! block comments nest, as they do in Rust, so `/* outer /* inner */
 //! still comment */` never leaks tokens into code.
-
-use std::fmt;
 
 /// One physical line split into its code and comment parts by the
 /// lexer. String-literal *contents* are blanked out of `code` so rule
@@ -164,86 +162,6 @@ fn close_of_char_literal(chars: &[char], start: usize) -> Option<usize> {
     None
 }
 
-/// What kind of top-level (or nested) item a header line introduced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ItemKind {
-    /// `fn` — free or associated.
-    Fn,
-    /// `impl` block.
-    Impl,
-    /// `mod` — inline or out-of-line.
-    Mod,
-    /// `use` declaration.
-    Use,
-    /// `struct` definition.
-    Struct,
-    /// `enum` definition.
-    Enum,
-    /// `trait` definition.
-    Trait,
-    /// `const` item (not `const fn`).
-    Const,
-    /// `static` item.
-    Static,
-    /// `type` alias.
-    TypeAlias,
-}
-
-impl ItemKind {
-    /// Stable lower-case id used in the cache serialization.
-    pub fn name(self) -> &'static str {
-        match self {
-            ItemKind::Fn => "fn",
-            ItemKind::Impl => "impl",
-            ItemKind::Mod => "mod",
-            ItemKind::Use => "use",
-            ItemKind::Struct => "struct",
-            ItemKind::Enum => "enum",
-            ItemKind::Trait => "trait",
-            ItemKind::Const => "const",
-            ItemKind::Static => "static",
-            ItemKind::TypeAlias => "type",
-        }
-    }
-
-    /// Inverse of [`ItemKind::name`], for cache deserialization.
-    pub fn from_name(name: &str) -> Option<ItemKind> {
-        const ALL: &[ItemKind] = &[
-            ItemKind::Fn,
-            ItemKind::Impl,
-            ItemKind::Mod,
-            ItemKind::Use,
-            ItemKind::Struct,
-            ItemKind::Enum,
-            ItemKind::Trait,
-            ItemKind::Const,
-            ItemKind::Static,
-            ItemKind::TypeAlias,
-        ];
-        ALL.iter().copied().find(|k| k.name() == name)
-    }
-}
-
-impl fmt::Display for ItemKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// One item recovered from a file: a symbol-index row.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Item {
-    /// Item kind.
-    pub kind: ItemKind,
-    /// Item name (for `impl`: the header text; for `use`: the path).
-    pub name: String,
-    /// 1-based line of the header.
-    pub line: usize,
-    /// 1-based line where the item's body closes (header line for
-    /// semicolon items).
-    pub end_line: usize,
-}
-
 /// How a `let` binding is classified by its initializer — the facts the
 /// flow-aware rules consume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -289,8 +207,8 @@ impl Binding {
     }
 }
 
-/// The parse of one file: everything the rules and the symbol index
-/// need, computed in a single pass.
+/// The parse of one file: everything the rules need, computed in a
+/// single pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedFile {
     /// Original lines (for diagnostic snippets).
@@ -298,8 +216,6 @@ pub struct ParsedFile {
     /// Lexed lines: code with comments/strings stripped, plus comment
     /// text (pragmas live there).
     pub lines: Vec<SplitLine>,
-    /// Items recovered from header lines, in source order.
-    pub items: Vec<Item>,
     /// `let` bindings with lifetimes, in source order.
     pub bindings: Vec<Binding>,
     /// Per line: was it inside a `#[cfg(test)]` region when scanned?
@@ -320,21 +236,17 @@ struct LetAcc {
 const MAX_LET_SPAN: usize = 40;
 
 /// Parses one file. Total: never fails, never panics; unparseable
-/// regions simply contribute no items or bindings.
+/// regions simply contribute no bindings.
 pub fn parse_file(text: &str) -> ParsedFile {
     let raw: Vec<String> = text.lines().map(str::to_string).collect();
     let mut lex = LexState::default();
     let lines: Vec<SplitLine> = raw.iter().map(|l| lex.split(l)).collect();
     let total = lines.len().max(1);
 
-    let mut items: Vec<Item> = Vec::new();
     let mut bindings: Vec<Binding> = Vec::new();
     let mut in_test = vec![false; lines.len()];
 
     let mut depth: usize = 0;
-    // (item index, depth before its opening brace)
-    let mut item_stack: Vec<(usize, usize)> = Vec::new();
-    let mut pending_item: Option<usize> = None;
     let mut pending_let: Option<LetAcc> = None;
 
     // `#[cfg(test)]` region tracking, line-granular: after the
@@ -348,29 +260,6 @@ pub fn parse_file(text: &str) -> ParsedFile {
         let code = sl.code.as_str();
         in_test[idx] = test_region_floor.is_some();
 
-        // Item headers are recognized on the line's leading tokens,
-        // but only outside a continuing `let` statement.
-        if pending_let.is_none() {
-            if let Some((kind, name)) = item_header(code.trim()) {
-                let brace_pos = code.find('{');
-                let semi_pos = code.find(';');
-                let closed_by_semi = match (semi_pos, brace_pos) {
-                    (Some(s), Some(b)) => s < b,
-                    (Some(_), None) => true,
-                    _ => false,
-                };
-                items.push(Item {
-                    kind,
-                    name,
-                    line: line_no,
-                    end_line: line_no,
-                });
-                if !closed_by_semi {
-                    pending_item = Some(items.len() - 1);
-                }
-            }
-        }
-
         if code.contains("#[cfg(test)]") || code.contains("#[cfg(all(test") {
             pending_cfg_test = true;
         }
@@ -381,38 +270,14 @@ pub fn parse_file(text: &str) -> ParsedFile {
         while i < chars.len() {
             match chars[i] {
                 '{' => {
-                    if let Some(item_idx) = pending_item.take() {
-                        item_stack.push((item_idx, depth));
-                    }
                     depth += 1;
                     i += 1;
                 }
                 '}' => {
                     depth = depth.saturating_sub(1);
-                    while let Some(&(item_idx, open_depth)) = item_stack.last() {
-                        if open_depth >= depth {
-                            if let Some(item) = items.get_mut(item_idx) {
-                                item.end_line = line_no;
-                            }
-                            item_stack.pop();
-                        } else {
-                            break;
-                        }
-                    }
                     for b in bindings.iter_mut() {
                         if b.scope_end == 0 && b.depth > depth {
                             b.scope_end = line_no;
-                        }
-                    }
-                    i += 1;
-                }
-                ';' => {
-                    // A semicolon while an item header still waits for
-                    // its brace means the item had no body at all
-                    // (trait method declaration, `mod x;`).
-                    if let Some(item_idx) = pending_item.take() {
-                        if let Some(item) = items.get_mut(item_idx) {
-                            item.end_line = line_no;
                         }
                     }
                     i += 1;
@@ -496,16 +361,10 @@ pub fn parse_file(text: &str) -> ParsedFile {
             b.scope_end = total;
         }
     }
-    for &(item_idx, _) in &item_stack {
-        if let Some(item) = items.get_mut(item_idx) {
-            item.end_line = total;
-        }
-    }
 
     ParsedFile {
         raw,
         lines,
-        items,
         bindings,
         in_test,
     }
@@ -648,94 +507,6 @@ fn dropped_names(code: &str) -> Vec<String> {
     out
 }
 
-/// Recognizes an item header on a trimmed code line.
-fn item_header(trim: &str) -> Option<(ItemKind, String)> {
-    let mut rest = trim;
-    // Strip visibility and qualifiers.
-    loop {
-        if let Some(r) = rest.strip_prefix("pub") {
-            // `pub`, `pub(crate)`, `pub(super)`, `pub(in …)`.
-            let r = r.trim_start();
-            if let Some(paren) = r.strip_prefix('(') {
-                match paren.find(')') {
-                    Some(close) => rest = paren[close + 1..].trim_start(),
-                    None => return None,
-                }
-            } else if r.len() < rest.len() {
-                rest = r;
-            } else {
-                return None;
-            }
-            continue;
-        }
-        let mut stripped = false;
-        for q in ["unsafe ", "async ", "extern \"C\" ", "default "] {
-            if let Some(r) = rest.strip_prefix(q) {
-                rest = r.trim_start();
-                stripped = true;
-            }
-        }
-        if !stripped {
-            break;
-        }
-    }
-    if let Some(r) = rest.strip_prefix("const fn ") {
-        return Some((ItemKind::Fn, first_ident(r)?));
-    }
-    if let Some(r) = rest.strip_prefix("fn ") {
-        return Some((ItemKind::Fn, first_ident(r)?));
-    }
-    if rest == "impl" || rest.starts_with("impl ") || rest.starts_with("impl<") {
-        let header = rest
-            .trim_start_matches("impl")
-            .trim()
-            .trim_end_matches('{')
-            .trim();
-        return Some((ItemKind::Impl, header.to_string()));
-    }
-    if let Some(r) = rest.strip_prefix("mod ") {
-        return Some((ItemKind::Mod, first_ident(r)?));
-    }
-    if let Some(r) = rest.strip_prefix("use ") {
-        let path = r.split([';', '{']).next().unwrap_or("").trim().to_string();
-        return Some((ItemKind::Use, path));
-    }
-    if let Some(r) = rest.strip_prefix("struct ") {
-        return Some((ItemKind::Struct, first_ident(r)?));
-    }
-    if let Some(r) = rest.strip_prefix("enum ") {
-        return Some((ItemKind::Enum, first_ident(r)?));
-    }
-    if let Some(r) = rest.strip_prefix("trait ") {
-        return Some((ItemKind::Trait, first_ident(r)?));
-    }
-    if let Some(r) = rest.strip_prefix("const ") {
-        return Some((ItemKind::Const, first_ident(r)?));
-    }
-    if let Some(r) = rest.strip_prefix("static ") {
-        let r = r.strip_prefix("mut ").unwrap_or(r);
-        return Some((ItemKind::Static, first_ident(r)?));
-    }
-    if let Some(r) = rest.strip_prefix("type ") {
-        return Some((ItemKind::TypeAlias, first_ident(r)?));
-    }
-    None
-}
-
-/// Leading identifier of `s`, if any.
-fn first_ident(s: &str) -> Option<String> {
-    let s = s.trim_start();
-    let end = s
-        .char_indices()
-        .find(|(_, c)| !is_ident_char(*c))
-        .map_or(s.len(), |(i, _)| i);
-    if end == 0 {
-        None
-    } else {
-        Some(s[..end].to_string())
-    }
-}
-
 /// Is `c` a character that can start an identifier?
 fn is_ident_start(c: char) -> bool {
     c.is_alphabetic() || c == '_'
@@ -771,8 +542,6 @@ mod tests {
         let parsed = parse_file(text);
         assert!(!parsed.lines[0].code.contains("unwrap"));
         assert!(parsed.lines[0].code.contains("fn f()"));
-        assert_eq!(parsed.items.len(), 1);
-        assert_eq!(parsed.items[0].kind, ItemKind::Fn);
     }
 
     #[test]
@@ -780,38 +549,6 @@ mod tests {
         let text = "/* a /* b */\nstill comment .unwrap() */\nfn g() {}\n";
         let parsed = parse_file(text);
         assert!(!parsed.lines[1].code.contains("unwrap"));
-        assert_eq!(parsed.items.len(), 1);
-        assert_eq!(parsed.items[0].name, "g");
-    }
-
-    #[test]
-    fn items_get_names_and_end_lines() {
-        let text = concat!(
-            "use std::fmt;\n",
-            "pub struct S { x: u32 }\n",
-            "impl S {\n",
-            "    pub fn get(&self) -> u32 {\n",
-            "        self.x\n",
-            "    }\n",
-            "}\n",
-            "mod helpers;\n",
-        );
-        let parsed = parse_file(text);
-        let kinds: Vec<(ItemKind, &str, usize, usize)> = parsed
-            .items
-            .iter()
-            .map(|i| (i.kind, i.name.as_str(), i.line, i.end_line))
-            .collect();
-        assert_eq!(
-            kinds,
-            vec![
-                (ItemKind::Use, "std::fmt", 1, 1),
-                (ItemKind::Struct, "S", 2, 2),
-                (ItemKind::Impl, "S", 3, 7),
-                (ItemKind::Fn, "get", 4, 6),
-                (ItemKind::Mod, "helpers", 8, 8),
-            ]
-        );
     }
 
     #[test]

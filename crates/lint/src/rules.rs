@@ -3,7 +3,7 @@
 //!
 //! PR 3's scanner was a line/token matcher; it is still the backbone
 //! (token rules are cheap and auditable), but the scanner now consumes
-//! a [`ParsedFile`] — items, `#[cfg(test)]` regions, and `let`-binding
+//! a [`ParsedFile`] — `#[cfg(test)]` regions and `let`-binding
 //! lifetimes — so three rules can reason about *flow* across lines:
 //! a lock guard live across a `par_map` fan-out, serial-number values
 //! hit with raw integer arithmetic, and `lint:allow` pragmas that no
@@ -11,11 +11,6 @@
 
 use crate::parse::{parse_file, BindingClass, ParsedFile, SplitLine};
 use crate::Diagnostic;
-
-/// Version of the rule set, shared by the scan cache (a bumped version
-/// invalidates every cached entry) and the SARIF tool descriptor.
-/// Bump whenever a rule's behavior, scope, or message changes.
-pub const RULES_VERSION: u32 = 5;
 
 /// Every lint rule the scanner knows, in stable order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -32,8 +27,6 @@ pub enum Rule {
     UnsafeAudit,
     /// Panicking calls in library code outside tests.
     PanicHygiene,
-    /// Legacy allocate-per-poll event/telemetry drains outside `crates/core`.
-    EventDrain,
     /// Raw ARQ sequence-number construction outside `crates/hw`.
     RawSeq,
     /// Raw `StreamDecoder` construction inside `crates/ingest` outside
@@ -65,7 +58,6 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::UnorderedIter,
     Rule::UnsafeAudit,
     Rule::PanicHygiene,
-    Rule::EventDrain,
     Rule::RawSeq,
     Rule::RawDecoder,
     Rule::FixedTick,
@@ -86,7 +78,6 @@ impl Rule {
             Rule::UnorderedIter => "unordered-iter",
             Rule::UnsafeAudit => "unsafe-audit",
             Rule::PanicHygiene => "panic-hygiene",
-            Rule::EventDrain => "event-drain",
             Rule::RawSeq => "raw-seq",
             Rule::RawDecoder => "raw-decoder",
             Rule::FixedTick => "fixed-tick",
@@ -129,11 +120,6 @@ impl Rule {
             Rule::PanicHygiene => {
                 "unwrap / expect / panic! / unreachable! / todo! / unimplemented! in library \
                  code outside tests — fail through Result like summarize()"
-            }
-            Rule::EventDrain => {
-                "drain_events / drain_telemetry outside crates/core — the owned-Vec poll \
-                 allocates per tick; visit with poll_events/poll_telemetry or reuse a \
-                 scratch buffer via the drain_*_into forms"
             }
             Rule::RawSeq => {
                 "Seq16::from_raw outside crates/hw — device and host code receive ARQ \
@@ -482,18 +468,6 @@ pub fn scan_parsed(parsed: &ParsedFile, ctx: &FileContext) -> Vec<Diagnostic> {
                         .to_string(),
                 ));
             }
-        }
-
-        if ctx.crate_name != "core"
-            && (has_token(code, "drain_events") || has_token(code, "drain_telemetry"))
-        {
-            hits.push((
-                Rule::EventDrain,
-                "allocate-per-poll drain outside crates/core — visit events with \
-                 poll_events/poll_telemetry, or reuse a scratch buffer via \
-                 drain_events_into/drain_telemetry_into"
-                    .to_string(),
-            ));
         }
 
         if ctx.crate_name != "hw" && has_token(code, "from_raw") {
@@ -1115,25 +1089,6 @@ mod tests {
     }
 
     #[test]
-    fn event_drain_flagged_outside_core_only() {
-        let text = "fn f(dev: &mut D) { let _ = dev.drain_events(); }\n";
-        assert_eq!(
-            rules_at(text, "crates/eval/src/experiments/fig4.rs"),
-            vec![(Rule::EventDrain, 1)]
-        );
-        assert_eq!(
-            rules_at(text, "examples/quickstart.rs"),
-            vec![(Rule::EventDrain, 1)]
-        );
-        assert!(rules_at(text, "crates/core/src/device.rs").is_empty());
-        let telemetry = "fn f(dev: &mut D) { for t in dev.drain_telemetry() {} }\n";
-        assert_eq!(
-            rules_at(telemetry, "crates/host/src/session.rs"),
-            vec![(Rule::EventDrain, 1)]
-        );
-    }
-
-    #[test]
     fn raw_seq_flagged_outside_hw_only() {
         let text = "fn f() -> Seq16 { Seq16::from_raw(7) }\n";
         assert_eq!(
@@ -1243,18 +1198,6 @@ mod tests {
             "fn f(b: &mut Board, d: SimDuration) { board.step(d); }\n",
         );
         assert!(rules_at(pragmad, "crates/core/src/device.rs").is_empty());
-    }
-
-    #[test]
-    fn event_drain_into_scratch_forms_are_fine() {
-        let text = concat!(
-            "fn f(dev: &mut D, buf: &mut Vec<E>) {\n",
-            "    dev.drain_events_into(buf);\n",
-            "    dev.drain_telemetry_into(buf);\n",
-            "    dev.poll_events(&mut |_e| {});\n",
-            "}\n",
-        );
-        assert!(rules_at(text, "crates/eval/src/experiments/fig4.rs").is_empty());
     }
 
     #[test]

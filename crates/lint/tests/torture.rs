@@ -116,10 +116,6 @@ proptest! {
         let parsed = parse_file(&text);
         let n_lines = text.lines().count();
         prop_assert_eq!(parsed.lines.len(), n_lines);
-        for item in &parsed.items {
-            prop_assert!(item.line >= 1 && item.line <= n_lines.max(1));
-            prop_assert!(item.end_line >= item.line);
-        }
         for b in &parsed.bindings {
             prop_assert!(b.line >= 1 && b.line <= n_lines.max(1));
         }

@@ -4,9 +4,7 @@
 //! ```text
 //! cargo run -p xtask -- lint                 # scan the workspace; exit 1 on findings
 //! cargo run -p xtask -- lint --json F        # also write machine-readable diagnostics
-//! cargo run -p xtask -- lint --sarif-out F   # also write a SARIF 2.1.0 report
 //! cargo run -p xtask -- lint --rule NAME     # only report the named rule(s)
-//! cargo run -p xtask -- lint --no-cache      # ignore target/lint-cache
 //! cargo run -p xtask -- lint --self-test     # prove the scanner catches its fixtures
 //! cargo run -p xtask -- lint --rules         # list the rule set
 //!
@@ -26,15 +24,12 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use distscroll_fuzz::{corpus, FuzzConfig, TargetKind};
-use distscroll_lint::{
-    diagnostics_to_json, diagnostics_to_sarif, scan_workspace_with, self_test, Rule, ScanOptions,
-    ALL_RULES,
-};
+use distscroll_lint::{diagnostics_to_json, scan_workspace, self_test, Rule, ALL_RULES};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: cargo run -p xtask -- lint [--json FILE] [--sarif-out FILE] [--rule NAME]... \
-         [--no-cache] [--self-test] [--rules] [--root DIR]\n\
+        "usage: cargo run -p xtask -- lint [--json FILE] [--rule NAME]... [--self-test] \
+         [--rules] [--root DIR]\n\
          \x20      cargo run -p xtask -- fuzz [--iters N] [--seed S] [--target NAME]... \
          [--corpus DIR] [--out DIR] [--grow] [--init-corpus] [--replay] [--root DIR]"
     );
@@ -193,9 +188,7 @@ fn fuzz(args: Vec<String>) -> ExitCode {
 
 fn lint(args: Vec<String>) -> ExitCode {
     let mut json_out: Option<String> = None;
-    let mut sarif_out: Option<String> = None;
     let mut rule_filter: Vec<Rule> = Vec::new();
-    let mut use_cache = true;
     let mut run_self_test = false;
     let mut list_rules = false;
     let mut root = default_root();
@@ -205,10 +198,6 @@ fn lint(args: Vec<String>) -> ExitCode {
         match a.as_str() {
             "--json" => match it.next() {
                 Some(path) => json_out = Some(path),
-                None => return usage(),
-            },
-            "--sarif-out" => match it.next() {
-                Some(path) => sarif_out = Some(path),
                 None => return usage(),
             },
             "--rule" => match it.next().as_deref().map(Rule::from_name) {
@@ -234,7 +223,6 @@ fn lint(args: Vec<String>) -> ExitCode {
                 Some(dir) => root = PathBuf::from(dir),
                 None => return usage(),
             },
-            "--no-cache" => use_cache = false,
             "--self-test" => run_self_test = true,
             "--rules" => list_rules = true,
             _ => return usage(),
@@ -257,7 +245,7 @@ fn lint(args: Vec<String>) -> ExitCode {
                     println!("self-test: {s}");
                 }
                 println!(
-                    "self-test: PASS — {} fixtures, every rule exercised, SARIF validated",
+                    "self-test: PASS — {} fixtures, every rule exercised",
                     summaries.len()
                 );
                 ExitCode::SUCCESS
@@ -273,7 +261,7 @@ fn lint(args: Vec<String>) -> ExitCode {
         };
     }
 
-    let mut report = match scan_workspace_with(&root, ScanOptions { use_cache }) {
+    let mut report = match scan_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("lint: error — {e}");
@@ -285,20 +273,7 @@ fn lint(args: Vec<String>) -> ExitCode {
     }
 
     if let Some(path) = &json_out {
-        let doc = diagnostics_to_json(
-            &report.diagnostics,
-            report.files_scanned,
-            &report.cache,
-            &report.index.stats(),
-        );
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("lint: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("lint: wrote {path}");
-    }
-    if let Some(path) = &sarif_out {
-        let doc = diagnostics_to_sarif(&report.diagnostics);
+        let doc = diagnostics_to_json(&report.diagnostics, report.files_scanned);
         if let Err(e) = std::fs::write(path, doc) {
             eprintln!("lint: cannot write {path}: {e}");
             return ExitCode::from(2);
@@ -309,23 +284,15 @@ fn lint(args: Vec<String>) -> ExitCode {
     for d in &report.diagnostics {
         println!("{d}");
     }
-    let cache_note = if report.cache.enabled {
-        format!(
-            " (cache: {} hit(s), {} miss(es))",
-            report.cache.hits, report.cache.misses
-        )
-    } else {
-        " (cache off)".to_string()
-    };
     if report.diagnostics.is_empty() {
         println!(
-            "lint: PASS — {} files scanned, 0 violations{cache_note}",
+            "lint: PASS — {} files scanned, 0 violations",
             report.files_scanned
         );
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "lint: FAIL — {} violation(s) across {} files scanned{cache_note}",
+            "lint: FAIL — {} violation(s) across {} files scanned",
             report.diagnostics.len(),
             report.files_scanned
         );

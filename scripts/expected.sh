@@ -7,4 +7,4 @@
 N_EXPERIMENTS=17
 
 # Rules the semantic lint must register (xtask lint --rules).
-LINT_RULES=15
+LINT_RULES=14
